@@ -110,6 +110,36 @@ TEST(CliArgs, MalformedNumbersThrowWithKeyName)
     EXPECT_THROW(a.getDouble("decay", 0.0), std::runtime_error);
 }
 
+TEST(CliArgs, CountRejectsNegativeAndOutOfRangeWithKeyName)
+{
+    // A cast of getInt used to turn `--requests -1` into 2^64 - 1
+    // requests; getCount refuses it and names the flag.
+    Args a = parse({"--requests", "-1", "--batch-cap", "4294967296",
+                    "--tenants", "4294967295", "--updates", "0"});
+    try {
+        a.getCount<uint64_t>("requests", 10);
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("--requests"),
+                  std::string::npos);
+    }
+    // One past the target type's max is refused, the max itself
+    // and 0 are not.
+    EXPECT_THROW(a.getCount<uint32_t>("batch-cap", 32),
+                 std::runtime_error);
+    EXPECT_EQ(a.getCount<uint32_t>("tenants", 1), 4294967295u);
+    EXPECT_EQ(a.getCount<uint64_t>("updates", 5), 0u);
+    EXPECT_EQ(a.getCount<int>("hidden", 16), 16); // absent: fallback
+    // Signed targets get the same floor.
+    Args b = parse({"--features", "-3", "--classes", "2147483648"});
+    EXPECT_THROW(b.getCount("features", 32), std::runtime_error);
+    EXPECT_THROW(b.getCount("classes", 8), std::runtime_error);
+    // Malformed input keeps getInt's diagnosis.
+    Args c = parse({"--nodes", "12abc", "--th0"});
+    EXPECT_THROW(c.getCount<uint32_t>("nodes", 1), std::runtime_error);
+    EXPECT_THROW(c.getCount<uint32_t>("th0", 0), std::runtime_error);
+}
+
 TEST(CliArgs, EmptyDoubleDashIsAnError)
 {
     Args a = parse({"--"});

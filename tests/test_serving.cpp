@@ -284,175 +284,6 @@ TEST(ServingReplay, PerRequestResultsInvariantAcrossBatchCaps)
     }
 }
 
-// --------------------------------------- aggregation cache (tentpole)
-
-TEST(ServingAggCache, CacheEnabledReplayBitIdenticalToDisabled)
-{
-    // The cache's whole contract in one pin: with the island-
-    // aggregation cache on, every request's logits are byte-
-    // identical to the uncached server's — across a mixed trace
-    // (updates invalidate islands mid-run), at IGCN_THREADS 1, 4
-    // and 8 — and the cache actually engaged (hits > 0, so the test
-    // cannot pass vacuously). Epoch numbers and batch composition
-    // may legitimately differ: cache hits shrink the virtual service
-    // cost, shifting the busy horizon, and batch formation is a
-    // function of it; the FCFS dispatch order — and therefore the
-    // update set seen by each request — is not.
-    Workload w = makeWorkload(900, 16, 12, 6, 2, 17);
-    TraceConfig tc;
-    tc.numInference = 400;
-    tc.numUpdates = 40;
-    tc.seed = 11;
-    const std::vector<Request> trace =
-        makeSyntheticTrace(w.graph, tc);
-
-    const auto logitsById = [](const ReplayReport &rep) {
-        std::map<uint64_t, std::vector<float>> m;
-        for (const InferenceResult &r : rep.inference)
-            m[r.id] = r.logits;
-        return m;
-    };
-
-    setGlobalThreads(1);
-    Server plain(w.graph, w.features, w.weights, ServerConfig{});
-    const auto want = logitsById(plain.runTrace(trace));
-
-    ServerConfig cc;
-    cc.aggCache.enabled = true;
-    std::vector<ReplaySignature> cachedSigs;
-    for (int threads : {1, 4, 8}) {
-        setGlobalThreads(threads);
-        Server cached(w.graph, w.features, w.weights, cc);
-        ReplayReport rep = cached.runTrace(trace);
-        EXPECT_EQ(want, logitsById(rep))
-            << "cached logits diverged at " << threads << " threads";
-        EXPECT_GT(cached.stats().aggCacheHits(), 0u);
-        EXPECT_GT(cached.stats().aggCacheFills(), 0u);
-        // Updates ran, so invalidation ran too.
-        EXPECT_GT(cached.stats().aggCacheInvalidated() +
-                      cached.stats().aggCacheMisses(),
-                  0u);
-        cachedSigs.push_back(ReplaySignature::of(rep));
-    }
-    setGlobalThreads(0);
-    // Among cache-enabled runs the full signature (epochs included)
-    // is thread-count-exact: determinism survives the cache.
-    for (size_t i = 1; i < cachedSigs.size(); ++i) {
-        EXPECT_EQ(cachedSigs[0].byId, cachedSigs[i].byId);
-        EXPECT_EQ(cachedSigs[0].updateEpochs,
-                  cachedSigs[i].updateEpochs);
-        EXPECT_EQ(cachedSigs[0].batchSizeById,
-                  cachedSigs[i].batchSizeById);
-    }
-}
-
-TEST(ServingAggCache, SparseFeatureServerBitIdenticalWithCache)
-{
-    // The sparse first-layer path fills and consults the same cache;
-    // cached sparse == uncached dense, bit-exactly.
-    Workload w = makeWorkload(600, 64, 12, 6, 2, 23);
-    Rng rng(77);
-    w.features.fillRandomSparse(rng, 0.02, 1.0f);
-    Features sparse;
-    sparse.sparse = true;
-    sparse.csr = denseToCsrFeatures(w.features);
-
-    TraceConfig tc;
-    tc.numInference = 200;
-    tc.numUpdates = 20;
-    tc.seed = 5;
-    const std::vector<Request> trace =
-        makeSyntheticTrace(w.graph, tc);
-
-    const auto logitsById = [](const ReplayReport &rep) {
-        std::map<uint64_t, std::vector<float>> m;
-        for (const InferenceResult &r : rep.inference)
-            m[r.id] = r.logits;
-        return m;
-    };
-    Server dense(w.graph, w.features, w.weights, ServerConfig{});
-    const auto want = logitsById(dense.runTrace(trace));
-
-    ServerConfig cc;
-    cc.aggCache.enabled = true;
-    Server cached(w.graph, sparse, w.weights, cc);
-    EXPECT_EQ(want, logitsById(cached.runTrace(trace)));
-    EXPECT_GT(cached.stats().aggCacheHits(), 0u);
-}
-
-TEST(ServingAggCache, LookupInsertAndDeterministicLruEviction)
-{
-    AggCacheConfig cfg;
-    cfg.enabled = true;
-    cfg.maxBytes = 10 * sizeof(float); // room for two 5-float rows
-    AggCache cache(cfg);
-    cache.advance(1, false, 0, {});
-
-    const std::vector<float> a{1, 2, 3, 4, 5};
-    const std::vector<float> b{6, 7, 8, 9, 10};
-    cache.insert(1, 0, a);
-    cache.insert(1, 1, b);
-    EXPECT_EQ(cache.stats().entries, 2u);
-    EXPECT_EQ(cache.stats().bytes, 10 * sizeof(float));
-
-    float buf[5];
-    // Hit returns the exact bytes and refreshes island 0's tick.
-    ASSERT_TRUE(cache.lookup(1, 0, 5, buf));
-    EXPECT_EQ(0, std::memcmp(buf, a.data(), sizeof(buf)));
-    // Wrong length is a miss, never a partial copy.
-    EXPECT_FALSE(cache.lookup(1, 0, 4, buf));
-    // Wrong epoch is a miss (racing-advance shape).
-    EXPECT_FALSE(cache.lookup(2, 0, 5, buf));
-
-    // A third entry breaches the budget; island 1 has the lowest
-    // tick (0 was refreshed by the hit above) and must be evicted.
-    cache.insert(1, 2, {11, 12, 13, 14, 15});
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_TRUE(cache.lookup(1, 0, 5, buf));
-    EXPECT_FALSE(cache.lookup(1, 1, 5, buf));
-    EXPECT_TRUE(cache.lookup(1, 2, 5, buf));
-    EXPECT_LE(cache.stats().bytes, cfg.maxBytes);
-}
-
-TEST(ServingAggCache, AdvanceRemapsByProvenanceAndGapClears)
-{
-    AggCache cache({.enabled = true, .maxBytes = 1 << 20});
-    cache.advance(3, false, 0, {});
-    cache.insert(3, 0, {1, 1});
-    cache.insert(3, 1, {2, 2});
-    cache.insert(3, 2, {3, 3});
-
-    // Epoch 4: new island 0 inherits old 2, new island 1 is fresh
-    // (dirty), new island 2 inherits old 0. Old 1 is orphaned.
-    const uint32_t remap[] = {2, AggCache::kNoParent, 0};
-    cache.advance(4, true, 3, remap);
-    float buf[2];
-    ASSERT_TRUE(cache.lookup(4, 0, 2, buf));
-    EXPECT_EQ(buf[0], 3.0f);
-    EXPECT_FALSE(cache.lookup(4, 1, 2, buf));
-    ASSERT_TRUE(cache.lookup(4, 2, 2, buf));
-    EXPECT_EQ(buf[0], 1.0f);
-    EXPECT_EQ(cache.stats().invalidated, 1u); // old island 1
-    EXPECT_EQ(cache.stats().entries, 2u);
-
-    // Same-epoch advance is a no-op.
-    cache.advance(4, true, 3, remap);
-    EXPECT_TRUE(cache.lookup(4, 0, 2, buf));
-
-    // Lineage gap (parent is not the cached epoch): full clear.
-    cache.advance(9, true, 7, remap);
-    EXPECT_FALSE(cache.lookup(9, 0, 2, buf));
-    EXPECT_EQ(cache.stats().clears, 1u);
-    EXPECT_EQ(cache.stats().entries, 0u);
-    EXPECT_EQ(cache.stats().bytes, 0u);
-
-    // reset(): fresh lifetime, counters zeroed.
-    cache.insert(9, 0, {5, 5});
-    cache.reset();
-    EXPECT_EQ(cache.stats().fills, 0u);
-    EXPECT_FALSE(cache.lookup(9, 0, 2, buf));
-}
-
 TEST(ServingReplay, UpdatesTakeEffectAndMatchFinalReference)
 {
     Workload w = makeWorkload(500, 16, 12, 6, 2, 21);
@@ -1126,6 +957,77 @@ TEST(ServingStats, ResetMidRunKeepsCachedMetricPointersValid)
     EXPECT_EQ(stats.inferenceLatency().count, 1u);
     EXPECT_EQ(stats.inferenceLatency().maxUs, 20u);
     EXPECT_EQ(lat_before->count(), 1u);
+}
+
+// The virtual clock advances by these costs, so every replayed
+// timestamp depends on them; pin them to the microsecond.
+TEST(ServingServiceModel, InferenceCostPinnedPerArm)
+{
+    // Dyadic coefficients: every product and sum is exact, so the
+    // expected values carry no floating-point slack.
+    ServiceModel m;
+    m.inferenceFixedUs = 4.0;
+    m.perTargetUs = 0.5;
+    m.perSubNodeUs = 0.25;
+    m.perSubEdgeUs = 0.125;
+
+    // Whole-graph arm: charges the graph's N and E and ignores the
+    // (stale) receptive-field fields.
+    BatchExecInfo whole;
+    whole.wholeGraph = true;
+    whole.targets = 3;
+    whole.subNodes = 100;
+    whole.subEdges = 1000;
+    EXPECT_EQ(m.inferenceCostUs(whole, 40, 64), 24u); // ceil(23.5)
+
+    // Subgraph arm: charges subNodes / subEdges, not the graph's.
+    BatchExecInfo sub;
+    sub.targets = 2;
+    sub.subNodes = 12;
+    sub.subEdges = 40;
+    EXPECT_EQ(m.inferenceCostUs(sub, 40, 64), 13u); // exactly 13.0
+    EXPECT_EQ(m.inferenceCostUs(sub, 4000, 64000), 13u);
+    sub.subNodes = 13;
+    EXPECT_EQ(m.inferenceCostUs(sub, 40, 64), 14u); // ceil(13.25)
+
+    // The default coefficients, as every replay uses them.
+    const ServiceModel d;
+    BatchExecInfo cora;
+    cora.wholeGraph = true;
+    cora.targets = 32;
+    EXPECT_EQ(d.inferenceCostUs(cora, 2708, 10556), 128u); // 127.94
+    BatchExecInfo small;
+    small.targets = 4;
+    small.subNodes = 300;
+    small.subEdges = 1200;
+    EXPECT_EQ(d.inferenceCostUs(small, 2708, 10556), 19u);
+    small.subNodes = 301;
+    EXPECT_EQ(d.inferenceCostUs(small, 2708, 10556), 20u); // 19.02
+}
+
+TEST(ServingServiceModel, UpdateCostPinned)
+{
+    ServiceModel m;
+    m.updateFixedUs = 16.0;
+    m.perAppliedEdgeUs = 2.0;
+    m.perRemovedEdgeUs = 3.0;
+    m.perScannedEdgeUs = 0.0625;
+    UpdateResult r;
+    EXPECT_EQ(m.updateCostUs(r), 16u); // a no-op still pays fixed
+    r.edgesApplied = 3;
+    r.edgesRemoved = 2;
+    r.stats.edgesScanned = 40;
+    r.edgesSkippedNoop = 7; // skipped events are free
+    EXPECT_EQ(m.updateCostUs(r), 31u); // ceil(30.5)
+
+    const ServiceModel d;
+    UpdateResult u;
+    u.edgesApplied = 5;
+    u.edgesRemoved = 3;
+    u.stats.edgesScanned = 250;
+    EXPECT_EQ(d.updateCostUs(u), 33u);
+    u.stats.edgesScanned = 251;
+    EXPECT_EQ(d.updateCostUs(u), 34u); // ceil(33.02)
 }
 
 TEST(ServingTrace, DeterministicAndWellFormed)

@@ -5,10 +5,13 @@
 
 #pragma once
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace igcn::cli {
@@ -106,6 +109,32 @@ class Args
                                      " expects an integer, got '" +
                                      *it->second + "'");
         }
+    }
+
+    /**
+     * Non-negative count or size of --key, range-checked into T;
+     * fallback when absent. Use this, not a cast of getInt(), for
+     * every count: a cast turns `--requests -1` into 2^64 - 1.
+     * @throws std::runtime_error naming --key on a valueless,
+     *         non-integer, negative, or larger-than-T value.
+     */
+    template <typename T>
+    T
+    getCount(const std::string &key, T fallback) const
+    {
+        static_assert(std::is_integral_v<T>);
+        if (!has(key))
+            return fallback;
+        const long v = getInt(key, 0);
+        // getInt already refuses anything past LONG_MAX.
+        constexpr auto kMax = std::min<unsigned long>(
+            std::numeric_limits<T>::max(),
+            std::numeric_limits<long>::max());
+        if (v < 0 || static_cast<unsigned long>(v) > kMax)
+            throw std::runtime_error(
+                "--" + key + " expects a count in [0, " +
+                std::to_string(kMax) + "], got " + std::to_string(v));
+        return static_cast<T>(v);
     }
 
     /**

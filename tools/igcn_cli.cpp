@@ -72,11 +72,6 @@ usage()
         "            [--feature-density D] [--sparse-x]\n"
         "            [--pattern poisson|burst|diurnal]\n"
         "            [--zipf-alpha A] [--tenants T]\n"
-        "            [--agg-cache]         epoch-keyed island-\n"
-        "              aggregation cache (bit-identical results;\n"
-        "              cache hits skip the layer-1 edge sweep)\n"
-        "            [--agg-cache-mb N]    cache byte budget (LRU\n"
-        "              eviction; default 64)\n"
         "            SLO mode (enables admission control + EDF):\n"
         "            [--qps-budget Q] [--queue-cap N]\n"
         "            [--staleness K] [--deadline-us D]\n"
@@ -95,9 +90,8 @@ int
 cmdGenerate(const Args &args)
 {
     const std::string type = args.get("type", "hubisland");
-    const auto nodes =
-        static_cast<NodeId>(args.getInt("nodes", 1000));
-    const auto seed = static_cast<uint64_t>(args.getInt("seed", 42));
+    const auto nodes = args.getCount<NodeId>("nodes", 1000);
+    const auto seed = args.getCount<uint64_t>("seed", 42);
     const std::string out = args.get("out");
     if (out.empty())
         throw std::runtime_error("--out FILE is required");
@@ -144,11 +138,9 @@ cmdIslandize(const Args &args)
 {
     CsrGraph g = loadGraphArg(args);
     LocatorConfig cfg;
-    cfg.maxIslandSize =
-        static_cast<NodeId>(args.getInt("cmax", cfg.maxIslandSize));
+    cfg.maxIslandSize = args.getCount("cmax", cfg.maxIslandSize);
     cfg.decay = args.getDouble("decay", cfg.decay);
-    cfg.initialThreshold =
-        static_cast<NodeId>(args.getInt("th0", 0));
+    cfg.initialThreshold = args.getCount<NodeId>("th0", 0);
     cfg.parallelEngines = args.has("parallel");
 
     IslandizationResult isl = islandize(g, cfg);
@@ -227,8 +219,8 @@ cmdSimulate(const Args &args)
     } else {
         CsrGraph g = loadGraphArg(args);
         data.info = {"custom", "CU", g.numNodes(), g.numEdges(),
-                     static_cast<int>(args.getInt("features", 128)),
-                     static_cast<int>(args.getInt("classes", 8)),
+                     args.getCount("features", 128),
+                     args.getCount("classes", 8),
                      args.getDouble("density", 0.1), 1.0};
         data.featureNnz = static_cast<EdgeId>(
             static_cast<double>(g.numNodes()) * data.info.numFeatures *
@@ -294,18 +286,15 @@ cmdServe(const Args &args)
         g = loadGraphArg(args);
     } else {
         HubIslandParams params;
-        params.numNodes =
-            static_cast<NodeId>(args.getInt("nodes", 4000));
-        params.seed = static_cast<uint64_t>(args.getInt("seed", 42));
+        params.numNodes = args.getCount<NodeId>("nodes", 4000);
+        params.seed = args.getCount<uint64_t>("seed", 42);
         g = hubAndIslandGraph(params).graph;
     }
 
-    const auto num_features =
-        static_cast<int>(args.getInt("features", default_features));
-    const auto hidden = static_cast<int>(args.getInt("hidden", 16));
-    const auto classes =
-        static_cast<int>(args.getInt("classes", default_classes));
-    const auto seed = static_cast<uint64_t>(args.getInt("seed", 42));
+    const int num_features = args.getCount("features", default_features);
+    const int hidden = args.getCount("hidden", 16);
+    const int classes = args.getCount("classes", default_classes);
+    const auto seed = args.getCount<uint64_t>("seed", 42);
 
     // --feature-density below the makeFeatures threshold (or an
     // explicit --sparse-x) serves CSR features end to end: the engine
@@ -327,10 +316,8 @@ cmdServe(const Args &args)
     std::vector<DenseMatrix> weights = makeWeights(mc, rng);
 
     serve::TraceConfig tc;
-    tc.numInference =
-        static_cast<uint64_t>(args.getInt("requests", 10000));
-    tc.numUpdates =
-        static_cast<uint64_t>(args.getInt("updates", 1000));
+    tc.numInference = args.getCount<uint64_t>("requests", 10000);
+    tc.numUpdates = args.getCount<uint64_t>("updates", 1000);
     tc.removeFraction = args.getDouble("remove-frac", 0.2);
     tc.seed = seed;
     const std::string pattern = args.get("pattern", "poisson");
@@ -341,36 +328,27 @@ cmdServe(const Args &args)
     else if (pattern != "poisson")
         throw std::runtime_error("unknown --pattern " + pattern);
     tc.zipfAlpha = args.getDouble("zipf-alpha", 0.0);
-    tc.numTenants =
-        static_cast<uint32_t>(args.getInt("tenants", 1));
-    tc.deadlineUs =
-        static_cast<uint64_t>(args.getInt("deadline-us", 0));
+    tc.numTenants = args.getCount<uint32_t>("tenants", 1);
+    tc.deadlineUs = args.getCount<uint64_t>("deadline-us", 0);
     tc.strictFraction = args.getDouble("strict-frac", 0.0);
     std::vector<serve::Request> trace =
         serve::makeSyntheticTrace(g, tc);
 
     serve::ServerConfig sc;
-    sc.scheduler.maxBatch =
-        static_cast<uint32_t>(args.getInt("batch-cap", 32));
+    sc.scheduler.maxBatch = args.getCount<uint32_t>("batch-cap", 32);
     sc.scheduler.maxWaitUs =
-        static_cast<uint64_t>(args.getInt("max-wait-us", 200));
-    sc.locator.maxIslandSize = static_cast<NodeId>(
-        args.getInt("cmax", sc.locator.maxIslandSize));
-    sc.aggCache.enabled =
-        args.has("agg-cache") || args.has("agg-cache-mb");
-    sc.aggCache.maxBytes = static_cast<size_t>(
-                               args.getInt("agg-cache-mb", 64))
-        << 20;
+        args.getCount<uint64_t>("max-wait-us", 200);
+    sc.locator.maxIslandSize =
+        args.getCount("cmax", sc.locator.maxIslandSize);
     // Any SLO knob switches the replay from FCFS to the admission-
     // controlled EDF path.
     if (args.has("qps-budget") || args.has("queue-cap") ||
         args.has("staleness") || args.has("deadline-us")) {
         sc.slo.enabled = true;
         sc.slo.qpsBudget = args.getDouble("qps-budget", 0.0);
-        sc.slo.queueCap =
-            static_cast<uint32_t>(args.getInt("queue-cap", 1024));
+        sc.slo.queueCap = args.getCount<uint32_t>("queue-cap", 1024);
         sc.slo.stalenessBound =
-            static_cast<uint32_t>(args.getInt("staleness", 0));
+            args.getCount<uint32_t>("staleness", 0);
     }
 
     const std::string trace_out = args.get("trace-out");
